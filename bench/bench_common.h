@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -45,21 +46,26 @@ struct BenchIo {
   /// observer — the campaign numbers are bit-identical either way.
   bool diagnose = false;
 
+  [[noreturn]] static void usage_error(const char* prog, const Status& s) {
+    std::cerr << prog << ": " << s.message() << "\n";
+    std::exit(2);
+  }
+
   static BenchIo from_args(int argc, char** argv) {
     BenchIo io;
     auto flags = CliFlags::parse(argc, argv);
-    if (flags.is_ok()) {
-      io.outdir = flags->get_string("outdir", "bench_out");
-      io.quick = flags->get_bool("quick", false);
-      io.jobs = static_cast<std::size_t>(flags->get_int("jobs", 1));
-      io.trace_out = flags->get_string("trace-out", "");
-      io.trace_jsonl = flags->get_string("trace-jsonl", "");
-      io.faults = flags->get_string("faults", "");
-      io.fault_seed = static_cast<std::uint64_t>(flags->get_int("fault-seed", 2025));
-      io.journal = flags->get_string("journal", "");
-      io.resume = flags->get_bool("resume", false);
-      io.diagnose = flags->get_bool("diagnose", false);
-    }
+    if (!flags.is_ok()) usage_error(argv[0], flags.status());
+    io.outdir = flags->get_string("outdir", "bench_out");
+    io.quick = flags->get_bool("quick", false);
+    io.jobs = static_cast<std::size_t>(flags->get_int("jobs", 1));
+    io.trace_out = flags->get_string("trace-out", "");
+    io.trace_jsonl = flags->get_string("trace-jsonl", "");
+    io.faults = flags->get_string("faults", "");
+    io.fault_seed = static_cast<std::uint64_t>(flags->get_int("fault-seed", 2025));
+    io.journal = flags->get_string("journal", "");
+    io.resume = flags->get_bool("resume", false);
+    io.diagnose = flags->get_bool("diagnose", false);
+    if (Status s = flags->check(); !s.is_ok()) usage_error(argv[0], s);
     std::error_code ec;
     std::filesystem::create_directories(io.outdir, ec);  // best effort
     return io;

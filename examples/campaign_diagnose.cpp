@@ -52,6 +52,10 @@ int main(int argc, char** argv) {
   options.max_diagnosed =
       static_cast<std::size_t>(flags->get_int("max-diagnosed", 64));
   const std::string diagnosis_out = flags->get_string("diagnosis-out", "");
+  if (Status st = flags->check(); !st.is_ok()) {
+    std::cerr << "campaign_diagnose: " << st.message() << "\n";
+    return 2;
+  }
 
   std::cout << "tuning " << spec.name << " with the numerical flight recorder on ("
             << options.cluster.wall_budget_seconds / 3600.0 << " h budget)...\n";

@@ -90,8 +90,12 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
   auto flags = CliFlags::parse(argc, argv);
+  if (!flags.is_ok()) {
+    std::cerr << "campaign_mpas: " << flags.status().message() << "\n";
+    return 2;
+  }
   tuner::CampaignOptions options;
-  if (flags.is_ok()) {
+  {
     options.cluster.nodes = static_cast<std::size_t>(flags->get_int("nodes", 20));
     options.cluster.wall_budget_seconds = flags->get_double("hours", 12.0) * 3600.0;
     options.max_variants =
@@ -110,7 +114,7 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(flags->get_int("kill-after", 0));
     options.diagnose = flags->get_bool("diagnose", false) ||
                        flags->has("diagnosis-out");
-    options.metrics = !flags->get_bool("no-metrics", false);
+    options.metrics = flags->get_bool("metrics", true);  // --no-metrics
     options.metrics_footer = flags->get_bool("metrics-footer", false);
     const std::string dispatch = flags->get_string("vm-dispatch", "auto");
     if (!tuner::vm_dispatch_from_string(dispatch, &options.vm_dispatch)) {
@@ -129,17 +133,17 @@ int main(int argc, char** argv) {
     }
   }
   const std::string metrics_out =
-      flags.is_ok() ? flags->get_string("metrics-out", "") : "";
+      flags->get_string("metrics-out", "");
   const std::string diagnosis_out =
-      flags.is_ok() ? flags->get_string("diagnosis-out", "") : "";
+      flags->get_string("diagnosis-out", "");
   const std::string census_html =
-      flags.is_ok() ? flags->get_string("census-html", "") : "";
+      flags->get_string("census-html", "");
   const std::string server_endpoint =
-      flags.is_ok() ? flags->get_string("server", "") : "";
+      flags->get_string("server", "");
   const std::string servers_arg =
-      flags.is_ok() ? flags->get_string("servers", "") : "";
+      flags->get_string("servers", "");
   const double hedge_ms =
-      flags.is_ok() ? flags->get_double("hedge-ms", 0.0) : 0.0;
+      flags->get_double("hedge-ms", 0.0);
   std::vector<std::string> server_fleet;
   {
     std::string cur;
@@ -154,9 +158,14 @@ int main(int argc, char** argv) {
   }
 
   const std::string model =
-      flags.is_ok() ? flags->get_string("model", "mpas") : "mpas";
+      flags->get_string("model", "mpas");
   if (model != "mpas" && model != "funarc") {
     std::cerr << "--model must be mpas or funarc (got '" << model << "')\n";
+    return 2;
+  }
+  const bool print_vm_line = flags->has("vm-dispatch");
+  if (Status st = flags->check(); !st.is_ok()) {
+    std::cerr << "campaign_mpas: " << st.message() << "\n";
     return 2;
   }
   const tuner::TargetSpec spec =
@@ -293,7 +302,7 @@ int main(int argc, char** argv) {
   // fused-dispatch counts legitimately differ between engines (zero under
   // the interpreter), and run counts differ under --resume/--server, so
   // bit-identity diffs either never see this line or strip it by prefix.
-  if (flags.is_ok() && flags->has("vm-dispatch")) {
+  if (print_vm_line) {
     std::cout << "vm| dispatch=" << tuner::to_string(options.vm_dispatch)
               << " runs=" << result->vm_exec.runs
               << " instructions=" << result->vm_exec.instructions

@@ -293,7 +293,21 @@ int main(int argc, char** argv) {
     std::cerr << flags.status().to_string() << "\n";
     return 2;
   }
-  if (const std::string lint = flags->get_string("lint", ""); !lint.empty()) {
+  // Every mode's flags are read up front so check() can reject the rest.
+  const std::string lint = flags->get_string("lint", "");
+  const std::string journal = flags->get_string("journal", "");
+  const std::string fleet = flags->get_string("fleet", "");
+  const std::string endpoint = flags->get_string("http", "");
+  const std::string get_path = flags->get_string("get", "");
+  const bool once = flags->get_bool("once", false);
+  const double interval = flags->get_double("interval", 2.0);
+  const std::size_t frames =
+      once ? 1 : static_cast<std::size_t>(flags->get_int("frames", 0));
+  if (Status s = flags->check(); !s.is_ok()) {
+    std::cerr << "prose_top: " << s.message() << "\n";
+    return 2;
+  }
+  if (!lint.empty()) {
     std::ifstream in(lint);
     if (!in) {
       std::cerr << "prose_top: cannot open '" << lint << "'\n";
@@ -309,41 +323,31 @@ int main(int argc, char** argv) {
     std::cout << "lint ok: " << lint << "\n";
     return 0;
   }
-  const std::string journal = flags->get_string("journal", "");
   if (!journal.empty()) return show_journal(journal);
 
-  if (const std::string fleet = flags->get_string("fleet", "");
-      !fleet.empty()) {
+  if (!fleet.empty()) {
     const std::vector<std::string> endpoints = split_list(fleet);
     if (endpoints.empty()) {
       std::cerr << "prose_top: --fleet needs at least one endpoint\n";
       return 2;
     }
-    const bool fleet_once = flags->get_bool("once", false);
-    const double fleet_interval = flags->get_double("interval", 2.0);
-    const std::size_t fleet_frames =
-        fleet_once ? 1
-                   : static_cast<std::size_t>(flags->get_int("frames", 0));
-    for (std::size_t frame = 1; fleet_frames == 0 || frame <= fleet_frames;
-         ++frame) {
-      if (!fleet_once) std::cout << "\x1b[2J\x1b[H";  // clear + home
+    for (std::size_t frame = 1; frames == 0 || frame <= frames; ++frame) {
+      if (!once) std::cout << "\x1b[2J\x1b[H";  // clear + home
       std::cout << render_fleet(endpoints, frame) << std::flush;
-      if (fleet_frames != 0 && frame == fleet_frames) break;
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(fleet_interval));
+      if (frames != 0 && frame == frames) break;
+      std::this_thread::sleep_for(std::chrono::duration<double>(interval));
     }
     return 0;
   }
 
-  const std::string endpoint = flags->get_string("http", "");
   if (endpoint.empty()) {
     std::cerr << "prose_top: need --http ENDPOINT, --fleet LIST, or "
                  "--journal FILE\n";
     return 2;
   }
-  if (const std::string path = flags->get_string("get", ""); !path.empty()) {
+  if (!get_path.empty()) {
     int status = 0;
-    auto body = obs::http_get(endpoint, path, &status);
+    auto body = obs::http_get(endpoint, get_path, &status);
     if (!body.is_ok()) {
       std::cerr << "prose_top: " << body.status().to_string() << "\n";
       return 1;
@@ -351,12 +355,6 @@ int main(int argc, char** argv) {
     std::cout << status << "\n" << body.value();
     return status / 100;
   }
-  const bool once = flags->get_bool("once", false);
-  const double interval = flags->get_double("interval", 2.0);
-  const std::size_t frames = once
-                                 ? 1
-                                 : static_cast<std::size_t>(
-                                       flags->get_int("frames", 0));
 
   obs::MetricsSnapshot prev;
   bool have_prev = false;

@@ -41,17 +41,27 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::vector<std::string> files = flags->positional();
-  bool require_linked = flags->get_bool("require-linked", false);
-  bool quiet = flags->get_bool("quiet", false);
+  bool require_linked = false;
+  bool quiet = false;
   // CliFlags treats `--flag value` as an assignment, so a boolean flag
   // written right before the file list eats the client path. Recover it:
   // a "value" that is not a boolean literal is really the first positional.
   for (const char* name : {"require-linked", "quiet"}) {
+    bool& flag = name == std::string("quiet") ? quiet : require_linked;
     const std::string v = flags->get_string(name, "");
     if (!v.empty() && v != "true" && v != "false") {
       files.insert(files.begin(), v);
-      (name == std::string("quiet") ? quiet : require_linked) = true;
+      flag = true;
+    } else {
+      flag = flags->get_bool(name, false);
     }
+  }
+  const std::string out_path = flags->get_string("out", "merged_trace.json");
+  const auto top = static_cast<std::size_t>(flags->get_int("top", 20));
+  // Every positional is a trace file.
+  if (Status s = flags->check(flags->positional().size()); !s.is_ok()) {
+    std::cerr << "prose_trace: " << s.message() << "\n";
+    return 2;
   }
   if (files.empty()) {
     std::cerr << "usage: prose_trace [--out FILE] [--top N] "
@@ -80,8 +90,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::string out_path =
-      flags->get_string("out", "merged_trace.json");
   {
     std::ofstream out(out_path, std::ios::out | std::ios::trunc);
     out << merged->merged_json;
@@ -110,8 +118,6 @@ int main(int argc, char** argv) {
   }
 
   if (!quiet && !merged->requests_detail.empty()) {
-    const auto top =
-        static_cast<std::size_t>(flags->get_int("top", 20));
     std::cout << "\nslowest requests (critical path, client timeline):\n"
               << serve::critical_path_table(*merged, top);
   }

@@ -12,13 +12,19 @@
 
 #include "ftn/transform.h"
 #include "ftn/unparse.h"
+#include "support/cli.h"
 #include "tuner/evaluator.h"
 #include "tuner/report.h"
 #include "tuner/search.h"
 
 using namespace prose;
 
-int main() {
+int main(int argc, char** argv) {
+  auto flags = CliFlags::parse(argc, argv);
+  if (Status s = flags.is_ok() ? flags->check() : flags.status(); !s.is_ok()) {
+    std::cerr << "quickstart: " << s.message() << " (it takes no arguments)\n";
+    return 2;
+  }
   // (1) A little heat-diffusion kernel. The `stable_floor` parameter is
   // deliberately precision-critical: in binary32 the stopping test degrades.
   const char* source = R"f(

@@ -9,12 +9,18 @@
 #include "ftn/paramflow.h"
 #include "models/mom6.h"
 #include "sim/compile.h"
+#include "support/cli.h"
 #include "tuner/evaluator.h"
 #include "tuner/static_filter.h"
 
 using namespace prose;
 
-int main() {
+int main(int argc, char** argv) {
+  auto flags = CliFlags::parse(argc, argv);
+  if (Status s = flags.is_ok() ? flags->check() : flags.status(); !s.is_ok()) {
+    std::cerr << "static_screening: " << s.message() << " (it takes no arguments)\n";
+    return 2;
+  }
   const tuner::TargetSpec spec = models::mom6_target();
   auto evaluator = tuner::Evaluator::create(spec);
   if (!evaluator.is_ok()) {

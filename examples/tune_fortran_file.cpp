@@ -2,11 +2,12 @@
 // of the paper's bespoke tool as a standalone utility.
 //
 // Usage:
-//   tune_fortran_file --file model.f90 --entry mod::run --scope mod
-//       [--hotspot mod::kernel] [--metric-var mod::out] [--threshold 1e-6]
-//       [--algo dd|random|oat|brute] [--csv out.csv]
+//   tune_fortran_file [--file] model.f90 --entry mod::run --scope mod
+//       --metric-var mod::out [--hotspot mod::kernel] [--threshold 1e-6]
+//       [--algo dd|random|oat|brute] [--samples N --seed N] [--csv out.csv]
 //
-// Without --file it tunes a built-in demo kernel so the example always runs.
+// The source file is `--file PATH` or the one positional argument. Without
+// either it tunes a built-in demo kernel so the example always runs.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -58,9 +59,37 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  std::string file = flags->get_string("file", "");
+  if (!flags->positional().empty()) {
+    if (!file.empty()) {
+      std::cerr << "tune_fortran_file: give the source as --file or as a "
+                   "positional path, not both\n";
+      return 2;
+    }
+    file = flags->positional().front();
+  }
+  const std::string entry = flags->get_string("entry", "");
+  const std::string scope = flags->get_string("scope", "");
+  const std::string hotspot = flags->get_string("hotspot", "");
+  const std::string metric_var = flags->get_string("metric-var", "");
+  const double threshold = flags->get_double("threshold", 1e-6);
+  const double noise_rsd = flags->get_double("noise-rsd", 0.0);
+  const std::string algo = flags->get_string("algo", "dd");
+  const std::int64_t samples = flags->get_int("samples", 64);
+  const std::int64_t seed = flags->get_int("seed", 7);
+  const std::string csv = flags->get_string("csv", "");
+  if (Status st = flags->check(/*max_positional=*/1); !st.is_ok()) {
+    std::cerr << "tune_fortran_file: " << st.message() << "\n";
+    return 2;
+  }
+  if (algo != "dd" && algo != "random" && algo != "oat" && algo != "brute") {
+    std::cerr << "tune_fortran_file: --algo must be dd, random, oat, or brute "
+              << "(got '" << algo << "')\n";
+    return 2;
+  }
+
   tuner::TargetSpec spec;
   spec.name = "cli-target";
-  const std::string file = flags->get_string("file", "");
   if (file.empty()) {
     std::cout << "(no --file given; tuning the built-in demo kernel)\n";
     spec.source = kDemoSource;
@@ -80,28 +109,25 @@ int main(int argc, char** argv) {
     std::ostringstream buffer;
     buffer << in.rdbuf();
     spec.source = buffer.str();
-    spec.entry = flags->get_string("entry", "");
-    const std::string scope = flags->get_string("scope", "");
+    spec.entry = entry;
     if (spec.entry.empty() || scope.empty()) {
       std::cerr << "--entry module::proc and --scope module are required with --file\n";
       return 2;
     }
     spec.atom_scopes = {scope};
-    const std::string hotspot = flags->get_string("hotspot", "");
     if (!hotspot.empty()) {
       spec.hotspot_procs = {hotspot};
     } else {
       spec.measure_whole_model = true;
     }
-    const std::string metric_var = flags->get_string("metric-var", "");
     if (metric_var.empty()) {
       std::cerr << "--metric-var module::var is required with --file\n";
       return 2;
     }
     spec.metric = [metric_var](const sim::Vm& vm) { return vm.get_scalar(metric_var); };
-    spec.error_threshold = flags->get_double("threshold", 1e-6);
+    spec.error_threshold = threshold;
   }
-  spec.noise_rsd = flags->get_double("noise-rsd", 0.0);
+  spec.noise_rsd = noise_rsd;
 
   auto evaluator = tuner::Evaluator::create(spec);
   if (!evaluator.is_ok()) {
@@ -112,7 +138,6 @@ int main(int argc, char** argv) {
   std::cout << "atoms: " << ev.space().size() << ", baseline metric "
             << ev.baseline().metric << "\n";
 
-  const std::string algo = flags->get_string("algo", "dd");
   tuner::SearchResult result;
   if (algo == "brute") {
     if (ev.space().size() > 16) {
@@ -121,8 +146,7 @@ int main(int argc, char** argv) {
     }
     result = tuner::brute_force_search(ev);
   } else if (algo == "random") {
-    result = tuner::random_search(ev, flags->get_int("samples", 64),
-                                  static_cast<std::uint64_t>(flags->get_int("seed", 7)));
+    result = tuner::random_search(ev, samples, static_cast<std::uint64_t>(seed));
   } else if (algo == "oat") {
     result = tuner::one_at_a_time_search(ev);
   } else {
@@ -141,7 +165,6 @@ int main(int argc, char** argv) {
               << p.error << "\n";
   }
 
-  const std::string csv = flags->get_string("csv", "");
   if (!csv.empty()) {
     std::ofstream out(csv);
     out << tuner::variants_csv(result);

@@ -100,9 +100,8 @@ int main(int argc, char** argv) {
 
   serve::ServerOptions options;
   options.endpoint = flags->get_string("endpoint", "");
-  if (options.endpoint.empty()) {
-    options.endpoint = flags->get_string("socket", "/tmp/prose.sock");
-  }
+  const std::string socket = flags->get_string("socket", "/tmp/prose.sock");
+  if (options.endpoint.empty()) options.endpoint = socket;
   resolve_store(flags->get_string("store", ""), &options);
   if (const int rotate = flags->get_int("rotate-bytes", 0); rotate > 0) {
     options.store_options.rotate_bytes = static_cast<std::size_t>(rotate);
@@ -123,6 +122,10 @@ int main(int argc, char** argv) {
   options.trace.jsonl_path = flags->get_string("trace-jsonl", "");
   options.http_endpoint = flags->get_string("http", "");
   options.drain_grace_seconds = flags->get_double("drain-grace", 0.0);
+  if (Status s = flags->check(); !s.is_ok()) {
+    std::cerr << "prose_served: " << s.message() << "\n";
+    return 2;
+  }
 
   // Block the shutdown signals before any thread exists so every thread
   // inherits the mask and sigwait below is the only consumer.

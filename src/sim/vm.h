@@ -13,6 +13,8 @@
 //   * exceeding the cycle budget     → Timeout (3× baseline in campaigns)
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -34,14 +36,16 @@ struct DecodedProgram;  // decode.h
 /// error metrics, cycle/cast accounting, OpMix, and the print log — the
 /// dispatch-equivalence suite enforces it. They differ only in host speed:
 ///   * kInterpret — the reference switch interpreter over raw bytecode
-///     (vm.cpp). Always available; the only engine that supports shadow
-///     execution, so VmOptions::shadow forces it.
+///     (vm.cpp). Always available, but plain runs only: with
+///     VmOptions::shadow it resolves to the build's decoded default.
 ///   * kSwitch    — pre-decoded stream (decode.h) run by a portable
 ///     switch-dispatch loop.
 ///   * kThreaded  — pre-decoded stream run by a direct-threaded
 ///     computed-goto loop (GCC/Clang). Falls back to kSwitch when the
 ///     build has no computed-goto support.
 ///   * kAuto      — the build-configured default (PROSE_VM_DISPATCH).
+/// Each decoded engine has a shadow twin (vm_shadow.cpp) that VmOptions::shadow
+/// selects; it runs the same handler text with binary64 shadow bookkeeping.
 enum class VmDispatch : std::uint8_t { kAuto, kInterpret, kSwitch, kThreaded };
 
 /// Dynamic superinstruction dispatch counts for one call() — how many fused
@@ -79,8 +83,8 @@ struct VmOptions {
   /// mixed-precision primary values, and record divergence provenance
   /// (see ShadowReport). Hard invariant: shadow bookkeeping never perturbs
   /// simulated cycles, outcomes, or the OpMix — it is pure observability.
-  /// Shadow execution always runs on the reference interpreter regardless
-  /// of `dispatch`.
+  /// Shadow execution runs on the shadow twin of the decoded engine that
+  /// `dispatch` resolves to (kInterpret resolves to the decoded default).
   bool shadow = false;
   /// Execution engine (see VmDispatch). kAuto resolves to the build default.
   VmDispatch dispatch = VmDispatch::kAuto;
@@ -181,6 +185,21 @@ struct ShadowReport {
   std::map<std::string, ShadowProcStats> procs;  // qualified procedure name
 };
 
+/// Relative divergence of a primary value from its binary64 shadow (see
+/// ShadowVarStats). Symmetric, so downstream scoring needs no clamping.
+inline double shadow_rel_div(double primary, double shadow) {
+  if (primary == shadow) return 0.0;
+  const double diff = std::abs(primary - shadow);
+  const double scale = std::max(std::abs(primary), std::abs(shadow));
+  if (!std::isfinite(diff)) return std::numeric_limits<double>::infinity();
+  return diff / scale;
+}
+
+/// First-divergence threshold (ShadowReport::first_divergence_*): well above
+/// one binary32 rounding (~6e-8), so the recorded site marks the onset of
+/// accumulated error, not the first benign rounding.
+inline constexpr double kShadowFirstDivergence = 1e-6;
+
 /// Dense multi-dimensional array storage (column-major, 1-based like Fortran).
 class ArrayStorage {
  public:
@@ -257,6 +276,9 @@ class Vm;
 Status vm_engine_switch(Vm* vm, const DecodedProgram* decoded);
 Status vm_engine_threaded(Vm* vm, const DecodedProgram* decoded,
                           const void* const** table_out);
+/// Their shadow-execution twins (vm_shadow.cpp).
+Status vm_engine_shadow_switch(Vm* vm, const DecodedProgram* decoded);
+Status vm_engine_shadow_threaded(Vm* vm, const DecodedProgram* decoded);
 
 class Vm {
  public:
@@ -267,7 +289,8 @@ class Vm {
   /// What VmDispatch::kAuto resolves to in this build (PROSE_VM_DISPATCH).
   [[nodiscard]] static VmDispatch default_dispatch();
   /// The engine call() will actually use, after resolving kAuto, the
-  /// threaded→switch fallback, and the shadow-forces-interpreter rule.
+  /// threaded→switch fallback, and kInterpret under shadow (→ the build
+  /// default).
   [[nodiscard]] VmDispatch resolved_dispatch() const;
 
   /// Re-initializes all module storage (zeros + declared initializers).
@@ -322,19 +345,43 @@ class Vm {
   friend Status vm_engine_switch(Vm* vm, const DecodedProgram* decoded);
   friend Status vm_engine_threaded(Vm* vm, const DecodedProgram* decoded,
                                    const void* const** table_out);
+  friend Status vm_engine_shadow_switch(Vm* vm, const DecodedProgram* decoded);
+  friend Status vm_engine_shadow_threaded(Vm* vm, const DecodedProgram* decoded);
 
   /// Returns the decoded stream for program_ (options_.decoded if supplied,
   /// else decoded once and cached), or the decode failure.
   StatusOr<const DecodedProgram*> ensure_decoded();
 
   // --- shadow execution (all no-ops unless options_.shadow) ---
+  /// Run-wide shadow tallies. A shadow engine keeps a copy in a local for
+  /// the whole run (register-resident, like the clock) and publishes it back
+  /// at exit; note_shadow_fault then adds the fault site.
+  struct ShadowTotals {
+    double max_div = 0.0;
+    std::uint64_t cancellations = 0;
+    std::uint64_t control_divs = 0;
+    std::int32_t first_div_proc = -1;
+    std::int32_t first_div_instr = -1;  // absolute instruction index
+
+    /// Records the divergence of one written value in procedure `proc`.
+    void note(double div, ShadowProcStats& ps, std::int32_t proc, std::int32_t at) {
+      if (div <= 0.0) return;
+      if (div > max_div) max_div = div;
+      if (div > ps.max_rel_div) ps.max_rel_div = div;
+      if (first_div_proc < 0 && div > kShadowFirstDivergence) {
+        first_div_proc = proc;
+        first_div_instr = at;
+      }
+    }
+  };
+
   void init_shadow_tables();
   std::int32_t shadow_var_index(const std::string& name);
-  void shadow_step(const Instr& in, const Frame& frame, std::int32_t pc);
-  void shadow_branch(const Instr& in, const Frame& frame);
-  void note_shadow_div(double div, std::int32_t proc, std::int32_t pc);
-  void note_shadow_write(std::int32_t dst, const Frame& frame, std::int32_t pc);
-  void note_shadow_var(std::int32_t var, double div);
+  void note_shadow_var(std::int32_t var, double div) {
+    ShadowVarStats& vs = shadow_vars_[static_cast<std::size_t>(var)];
+    vs.writes += 1;
+    if (div > vs.max_rel_div) vs.max_rel_div = div;
+  }
   void note_shadow_fault(const Status& status);
 
   double slot(std::size_t index) const { return slots_[index]; }
@@ -365,6 +412,9 @@ class Vm {
   // --- shadow execution state (allocated only when options_.shadow) ---
   bool shadow_ = false;
   std::vector<double> shadow_slots_;    // parallel to slots_
+  /// Parallel to slots_: shadow_rel_div(slots_[i], shadow_slots_[i]), kept
+  /// current at every slot write so operand divergences are loads.
+  std::vector<double> shadow_divs_;
   std::vector<double> shadow_globals_;  // parallel to globals_
   std::vector<ShadowProcStats> shadow_procs_;       // per proc index
   std::vector<ShadowVarStats> shadow_vars_;         // per tracked variable
@@ -373,11 +423,7 @@ class Vm {
   std::vector<std::vector<std::int32_t>> slot_var_;   // proc → slot → var (-1)
   std::vector<std::vector<std::int32_t>> array_var_;  // proc → array slot → var
   std::vector<std::int32_t> global_var_;              // global scalar → var
-  double shadow_max_div_ = 0.0;
-  std::uint64_t shadow_cancellations_ = 0;
-  std::uint64_t shadow_control_divs_ = 0;
-  std::int32_t first_div_proc_ = -1;
-  std::int32_t first_div_instr_ = -1;   // absolute instruction index
+  ShadowTotals shadow_totals_;
   std::int32_t shadow_fault_proc_ = -1;
 };
 

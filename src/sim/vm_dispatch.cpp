@@ -2,8 +2,10 @@
 //
 // vm_engine.inc holds the single shared engine body; it is included twice
 // below — once as a portable switch loop, once (when the compiler supports
-// labels-as-values) as a direct-threaded computed-goto loop. See decode.h
-// for the decoded instruction format and DESIGN.md §13 for the design.
+// labels-as-values) as a direct-threaded computed-goto loop. vm_shadow.cpp
+// instantiates the same body twice more as the shadow-execution engines.
+// See decode.h for the decoded instruction format and DESIGN.md §13 for the
+// design.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -86,9 +88,11 @@ VmDispatch Vm::default_dispatch() {
 }
 
 VmDispatch Vm::resolved_dispatch() const {
-  if (options_.shadow) return VmDispatch::kInterpret;  // shadow needs raw bytecode hooks
   VmDispatch d = options_.dispatch;
-  if (d == VmDispatch::kAuto) d = default_dispatch();
+  // Shadow execution exists only as twins of the decoded engines.
+  if (d == VmDispatch::kAuto || (d == VmDispatch::kInterpret && options_.shadow)) {
+    d = default_dispatch();
+  }
   if (d == VmDispatch::kThreaded && !threaded_available()) d = VmDispatch::kSwitch;
   return d;
 }

@@ -1,5 +1,6 @@
 #include "support/cli.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "support/strings.h"
@@ -38,30 +39,68 @@ StatusOr<CliFlags> CliFlags::parse(int argc, const char* const* argv) {
   return flags;
 }
 
-bool CliFlags::has(const std::string& name) const { return values_.contains(name); }
+bool CliFlags::has(const std::string& name) const {
+  read_.insert(name);
+  return values_.contains(name);
+}
 
 std::string CliFlags::get_string(const std::string& name, const std::string& fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   return it == values_.end() ? fallback : it->second;
 }
 
 std::int64_t CliFlags::get_int(const std::string& name, std::int64_t fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const char* begin = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(begin, &end, 10);
+  if (end == begin || *end != '\0' || errno == ERANGE) {
+    errors_.push_back("--" + name + " expects an integer, got '" + it->second + "'");
+    return fallback;
+  }
+  return v;
 }
 
 double CliFlags::get_double(const std::string& name, double fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const char* begin = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(begin, &end);
+  if (end == begin || *end != '\0' || errno == ERANGE) {
+    errors_.push_back("--" + name + " expects a number, got '" + it->second + "'");
+    return fallback;
+  }
+  return v;
 }
 
 bool CliFlags::get_bool(const std::string& name, bool fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   const std::string v = to_lower(it->second);
-  return v == "true" || v == "1" || v == "yes" || v == "on";
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  errors_.push_back("--" + name + " expects a boolean, got '" + it->second + "'");
+  return fallback;
+}
+
+Status CliFlags::check(std::size_t max_positional) const {
+  std::vector<std::string> problems = errors_;
+  for (const auto& [name, value] : values_) {
+    if (!read_.contains(name)) problems.push_back("unknown flag --" + name);
+  }
+  for (std::size_t i = max_positional; i < positional_.size(); ++i) {
+    problems.push_back("unexpected argument '" + positional_[i] + "'");
+  }
+  if (problems.empty()) return Status::ok();
+  return Status(StatusCode::kInvalidArgument, join(problems, "; "));
 }
 
 }  // namespace prose

@@ -94,7 +94,8 @@ struct CampaignOptions {
   /// engines produce bit-identical campaigns — summaries, journals, blame
   /// reports — so this only changes host wall-clock time. kAuto = the
   /// build's default (direct-threaded where the compiler supports it).
-  /// Shadow diagnosis always runs on the reference interpreter.
+  /// Shadow diagnosis runs on the shadow twin of the same engine (kInterpret
+  /// has no shadow twin and diagnoses on the build's default engine).
   sim::VmDispatch vm_dispatch = sim::VmDispatch::kAuto;
 
   /// Numerical flight recorder: after the search finishes, re-run the

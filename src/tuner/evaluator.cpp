@@ -191,6 +191,8 @@ void Evaluator::set_metrics(obs::Registry* registry) {
                              "Variant transform (clone+retype+wrap) latency");
   m_.compile_seconds =
       lat("prose_eval_compile_seconds", "Variant compile latency");
+  m_.decode_seconds = lat("prose_eval_decode_seconds",
+                          "Variant bytecode decode (verify+fuse) latency");
   m_.execute_seconds =
       lat("prose_eval_execute_seconds", "Variant VM execution latency");
   m_.measure_seconds = lat("prose_eval_measure_seconds",
@@ -803,7 +805,7 @@ Evaluation Evaluator::run_variant_impl(const Config& config, bool is_baseline,
   if (vm_dispatch_ != sim::VmDispatch::kInterpret) {
     // Decoded engines: reuse the pre-decoded stream across attempts of the
     // same variant (decode-once amortization; compile is deterministic).
-    vopts.decoded = decoded_for(config.key(), compiled.value());
+    vopts.decoded = decoded_for(config.key(), compiled.value(), tr, track);
   }
   sim::Vm vm(&compiled.value(), vopts);
   if (spec_.setup) {
@@ -919,7 +921,8 @@ Evaluation Evaluator::run_variant_impl(const Config& config, bool is_baseline,
 }
 
 std::shared_ptr<const sim::DecodedProgram> Evaluator::decoded_for(
-    const std::string& key, const sim::CompiledProgram& compiled) {
+    const std::string& key, const sim::CompiledProgram& compiled,
+    trace::Tracer* tr, trace::Track track) {
   {
     std::lock_guard<std::mutex> lock(decoded_mu_);
     if (const auto it = decoded_cache_.find(key); it != decoded_cache_.end()) {
@@ -929,7 +932,14 @@ std::shared_ptr<const sim::DecodedProgram> Evaluator::decoded_for(
   // Decode outside the lock: streams for distinct keys can be built
   // concurrently, and a duplicate race just does redundant work (the decoded
   // stream is deterministic, so either copy is valid).
-  auto decoded = sim::decode(compiled);
+  StatusOr<std::shared_ptr<const sim::DecodedProgram>> decoded =
+      Status(StatusCode::kUnimplemented, "unset");
+  {
+    trace::Span stage(tr, track, "decode");
+    PhaseTimer timer(m_.decode_seconds);
+    decoded = sim::decode(compiled);
+    if (tr != nullptr) stage.annotate({{"ok", decoded.is_ok()}});
+  }
   if (!decoded.is_ok()) return nullptr;  // Vm re-decodes and surfaces the error
   std::lock_guard<std::mutex> lock(decoded_mu_);
   // Bounded: a campaign sweep revisits keys heavily, but cap the footprint
@@ -965,6 +975,11 @@ StatusOr<BlameReport> Evaluator::diagnose(const Config& config) {
   sim::VmOptions vopts;
   vopts.shadow = true;
   if (cycle_budget_ > 0.0) vopts.cycle_budget = cycle_budget_;
+  vopts.dispatch = vm_dispatch_;
+  // The shadow engines run the same decoded stream as plain runs, so the
+  // variant's cached stream is reused when the search already decoded it.
+  vopts.decoded = decoded_for(config.key(), compiled.value(), tracer_,
+                              trace::Track::evaluator());
   sim::Vm vm(&compiled.value(), vopts);
   if (spec_.setup) {
     if (Status s = spec_.setup(vm); !s.is_ok()) return s;

@@ -231,9 +231,9 @@ class Evaluator {
   /// build-configured default, normally direct-threaded). All engines are
   /// bit-identical in outcomes, metrics, and accounting (the
   /// dispatch-equivalence suite pins this), so this is purely a host-speed
-  /// knob. diagnose() is unaffected: shadow execution always runs on the
-  /// reference interpreter. Set before evaluating; not synchronized against
-  /// in-flight evaluations.
+  /// knob. diagnose() runs on the shadow twin of the same engine (the build
+  /// default under kInterpret). Set before evaluating; not synchronized
+  /// against in-flight evaluations.
   void set_vm_dispatch(sim::VmDispatch dispatch) { vm_dispatch_ = dispatch; }
   [[nodiscard]] sim::VmDispatch vm_dispatch() const { return vm_dispatch_; }
 
@@ -328,7 +328,7 @@ class Evaluator {
   /// VM shadow-precision execution and distills the divergence provenance
   /// into a BlameReport. Completely outside the memo cache, the noise
   /// streams, and the journal — a diagnosed campaign stays bit-identical to
-  /// an undiagnosed one. Emits diag/* trace counters when a tracer is
+  /// an undiagnosed one; it shares only the decoded-stream cache. Emits diag/* trace counters when a tracer is
   /// attached. Fails only if the variant cannot be transformed or compiled.
   StatusOr<BlameReport> diagnose(const Config& config);
 
@@ -382,10 +382,13 @@ class Evaluator {
   /// Once-per-evaluator stderr note that the backend degraded to local.
   void warn_backend_fallback(const std::string& why);
   /// Decoded instruction stream for this variant's compiled program, from
-  /// the per-variant decoded cache (keyed like the memo cache). Null when
-  /// decoding failed — the Vm then surfaces the decode error itself.
+  /// the per-variant decoded cache (keyed like the memo cache). A miss
+  /// decodes inside a "decode" span on `track` and the decode-latency
+  /// histogram. Null when decoding failed — the Vm then surfaces the decode
+  /// error itself.
   std::shared_ptr<const sim::DecodedProgram> decoded_for(
-      const std::string& key, const sim::CompiledProgram& compiled);
+      const std::string& key, const sim::CompiledProgram& compiled,
+      trace::Tracer* tr, trace::Track track);
   /// Counts a lookup and emits the cache/* counters (call with cache_mu_ held).
   void note_lookup_locked(bool hit);
   void emit_cache_hit_instant(const Config& config, const Evaluation& eval);
@@ -428,6 +431,7 @@ class Evaluator {
   struct EvalMetrics {
     obs::Histogram* transform_seconds = nullptr;
     obs::Histogram* compile_seconds = nullptr;
+    obs::Histogram* decode_seconds = nullptr;
     obs::Histogram* execute_seconds = nullptr;
     obs::Histogram* measure_seconds = nullptr;
     obs::Histogram* variant_seconds = nullptr;

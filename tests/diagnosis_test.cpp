@@ -9,7 +9,9 @@
 //   * Shadow neutrality — a diagnosed campaign is bit-identical to the
 //     undiagnosed one (outcomes, cycles, frontier, final kinds), and its
 //     journal extends the undiagnosed journal byte-for-byte, for serial and
-//     parallel evaluation alike.
+//     parallel evaluation alike, with and without injected faults.
+//   * Exports — the diagnosis report and its JSON export carry the blame
+//     rankings in the documented shape.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -18,7 +20,9 @@
 #include <gtest/gtest.h>
 
 #include "models/models.h"
+#include "support/json.h"
 #include "tuner/campaign.h"
+#include "tuner/report.h"
 
 namespace prose::tuner {
 namespace {
@@ -168,6 +172,17 @@ void expect_bit_identical(const CampaignResult& a, const CampaignResult& b) {
   }
 }
 
+/// The capped, fault-injected MPAS-A campaign (compile faults, transient
+/// faults with retries, stragglers) the diagnosis checks run on.
+CampaignOptions mpas_faulted() {
+  CampaignOptions options;
+  options.cluster.nodes = 20;
+  options.cluster.wall_budget_seconds = 3600.0;
+  options.max_variants = 40;
+  options.fault_spec = "compile:p=0.02;transient:p=0.05;straggler:p=0.03,slow=4x";
+  return options;
+}
+
 void check_neutrality(const TargetSpec& spec, CampaignOptions base,
                       std::size_t jobs, const std::string& tag) {
   SCOPED_TRACE(spec.name + " jobs=" + std::to_string(jobs));
@@ -217,6 +232,68 @@ TEST(Diagnosis, ShadowModeIsNeutralOnFunarc) {
   const auto spec = models::funarc_target();
   check_neutrality(spec, CampaignOptions{}, 1, "funarc_j1");
   check_neutrality(spec, CampaignOptions{}, 4, "funarc_j4");
+}
+
+TEST(Diagnosis, ShadowModeIsNeutralOnFaultedMpas) {
+  check_neutrality(models::mpas_target(), mpas_faulted(), 1, "mpas_faulted_j1");
+}
+
+/// Member `key` of `v`, failing the test when absent.
+const json::Value& member(const json::Value& v, const char* key) {
+  static const json::Value missing;
+  const json::Value* m = v.find(key);
+  EXPECT_NE(m, nullptr) << "missing \"" << key << "\"";
+  return m != nullptr ? *m : missing;
+}
+
+TEST(Diagnosis, ReportAndJsonExportHaveTheDocumentedShape) {
+  CampaignOptions options = mpas_faulted();
+  options.diagnose = true;
+  auto result = run_campaign(models::mpas_target(), options);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+
+  const std::string report = diagnosis_report(*result);
+  EXPECT_NE(report.find("variable criticality"), std::string::npos) << report;
+  EXPECT_NE(report.find("procedure blame"), std::string::npos) << report;
+
+  auto doc = json::parse(diagnosis_json("MPAS-A", result->diagnosis));
+  ASSERT_TRUE(doc.is_ok()) << doc.status().to_string();
+  ASSERT_TRUE(doc->is_object());
+  EXPECT_EQ(member(*doc, "model").str_or(""), "MPAS-A");
+  EXPECT_TRUE(member(*doc, "rejected").is_number());
+  const double diagnosed = member(*doc, "diagnosed").num_or(0.0);
+  EXPECT_GT(diagnosed, 0.0);
+  const json::Value& atoms = member(*doc, "atoms");
+  const json::Value& procs = member(*doc, "procedures");
+  const json::Value& variants = member(*doc, "variants");
+  ASSERT_TRUE(atoms.is_array());
+  ASSERT_TRUE(procs.is_array());
+  ASSERT_TRUE(variants.is_array());
+  EXPECT_FALSE(atoms.items().empty());
+  EXPECT_FALSE(procs.items().empty());
+  EXPECT_EQ(static_cast<double>(variants.items().size()), diagnosed);
+  for (const json::Value& a : atoms.items()) {
+    for (const char* key : {"qualified", "score", "fail_association", "max_rel_div",
+                            "demoted_rejected", "demoted_total", "pivotal",
+                            "final64"}) {
+      (void)member(a, key);
+    }
+    const double score = member(a, "score").num_or(-1.0);
+    EXPECT_GE(score, 0.0);
+    EXPECT_LE(score, 1.0);
+  }
+  for (const json::Value& p : procs.items()) {
+    for (const char* key : {"qualified", "blame_share", "cancellations",
+                            "control_divergences", "faults", "cast_cycles"}) {
+      (void)member(p, key);
+    }
+  }
+  for (const json::Value& v : variants.items()) {
+    for (const char* key : {"key", "outcome", "max_rel_div", "variables",
+                            "procedures"}) {
+      (void)member(v, key);
+    }
+  }
 }
 
 TEST(Diagnosis, ShadowModeIsNeutralOnMpas) {

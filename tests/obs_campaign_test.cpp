@@ -105,6 +105,11 @@ TEST(ObsCampaign, RegistryCountsEvaluatorAndSinkActivity) {
   const obs::SeriesSnapshot* execute = m.find("prose_eval_execute_seconds");
   ASSERT_NE(execute, nullptr);
   EXPECT_GT(execute->hist.count, 0u);
+  // Decode runs once per distinct compiled variant (cache misses only).
+  const obs::SeriesSnapshot* decode = m.find("prose_eval_decode_seconds");
+  ASSERT_NE(decode, nullptr);
+  EXPECT_GT(decode->hist.count, 0u);
+  EXPECT_LE(decode->hist.count, execute->hist.count);
 
   // Journal: one record per evaluated variant, fsync latency histogram to
   // match, no errors.

@@ -73,6 +73,65 @@ TEST(Cli, ParsesFlagsAndPositionals) {
   EXPECT_EQ(flags->positional()[0], "input.f90");
 }
 
+TEST(Cli, CheckPassesWhenEveryArgumentIsTaken) {
+  const char* argv[] = {"prog", "--jobs", "4", "--no-metrics", "--ratio=0.5",
+                        "in.f90"};
+  auto flags = CliFlags::parse(6, argv);
+  ASSERT_TRUE(flags.is_ok());
+  EXPECT_EQ(flags->get_int("jobs", 1), 4);
+  EXPECT_FALSE(flags->get_bool("metrics", true));
+  EXPECT_EQ(flags->get_double("ratio", 0.0), 0.5);
+  EXPECT_EQ(flags->get_string("unset", "x"), "x");
+  EXPECT_TRUE(flags->check(/*max_positional=*/1).is_ok());
+}
+
+TEST(Cli, CheckNamesFlagsNeverRead) {
+  const char* argv[] = {"prog", "--model", "mom6", "--bogus-flag", "3"};
+  auto flags = CliFlags::parse(5, argv);
+  ASSERT_TRUE(flags.is_ok());
+  EXPECT_EQ(flags->get_string("model", ""), "mom6");
+  const Status s = flags->check();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("unknown flag --bogus-flag"), std::string::npos)
+      << s.message();
+  EXPECT_EQ(s.message().find("model"), std::string::npos) << s.message();
+}
+
+TEST(Cli, CheckNamesPositionalsNotTaken) {
+  const char* argv[] = {"prog", "first.f90", "stray"};
+  auto flags = CliFlags::parse(3, argv);
+  ASSERT_TRUE(flags.is_ok());
+  EXPECT_TRUE(flags->check(/*max_positional=*/2).is_ok());
+  const Status one = flags->check(/*max_positional=*/1);
+  EXPECT_FALSE(one.is_ok());
+  EXPECT_NE(one.message().find("unexpected argument 'stray'"), std::string::npos)
+      << one.message();
+  EXPECT_EQ(one.message().find("first.f90"), std::string::npos) << one.message();
+  const Status none = flags->check();
+  EXPECT_NE(none.message().find("'first.f90'"), std::string::npos) << none.message();
+}
+
+TEST(Cli, MalformedValuesFallBackAndAreReported) {
+  const char* argv[] = {"prog", "--jobs", "4x", "--hours=", "--rate", "1e999",
+                        "--depth", "12", "--diagnose=maybe"};
+  auto flags = CliFlags::parse(9, argv);
+  ASSERT_TRUE(flags.is_ok());
+  EXPECT_EQ(flags->get_int("jobs", 1), 1);
+  EXPECT_EQ(flags->get_double("hours", 12.0), 12.0);
+  EXPECT_EQ(flags->get_double("rate", 2.0), 2.0);  // out of range
+  EXPECT_EQ(flags->get_int("depth", 0), 12);
+  EXPECT_TRUE(flags->get_bool("diagnose", true));
+  const Status s = flags->check();
+  ASSERT_FALSE(s.is_ok());
+  for (const char* needle :
+       {"--jobs expects an integer, got '4x'", "--hours expects a number, got ''",
+        "--rate expects a number, got '1e999'",
+        "--diagnose expects a boolean, got 'maybe'"}) {
+    EXPECT_NE(s.message().find(needle), std::string::npos) << s.message();
+  }
+  EXPECT_EQ(s.message().find("depth"), std::string::npos) << s.message();
+}
+
 TEST(AsciiScatter, RendersPointsAndGuides) {
   AsciiScatter plot("test", "speedup", "error");
   plot.set_size(40, 10);

@@ -63,7 +63,7 @@ TEST(TraceCampaign, ProducesBothSinksWithExpectedEventFamilies) {
   std::string line;
   std::size_t n = 0;
   bool saw_variant = false, saw_dd = false, saw_gptl = false, saw_vm = false,
-       saw_outcome = false, saw_summary = false;
+       saw_outcome = false, saw_summary = false, saw_decode = false;
   while (std::getline(ss, line)) {
     if (line.empty()) continue;
     ++n;
@@ -74,6 +74,7 @@ TEST(TraceCampaign, ProducesBothSinksWithExpectedEventFamilies) {
     if (line.find("\"name\":\"vm/") != std::string::npos) saw_vm = true;
     if (line.find("\"outcome\":") != std::string::npos) saw_outcome = true;
     if (line.find("campaign/summary") != std::string::npos) saw_summary = true;
+    if (line.find("\"name\":\"decode\"") != std::string::npos) saw_decode = true;
   }
   EXPECT_GT(n, 10u);
   EXPECT_TRUE(saw_variant);
@@ -82,6 +83,7 @@ TEST(TraceCampaign, ProducesBothSinksWithExpectedEventFamilies) {
   EXPECT_TRUE(saw_vm);
   EXPECT_TRUE(saw_outcome);
   EXPECT_TRUE(saw_summary);
+  EXPECT_TRUE(saw_decode);  // the per-variant decode stage is a span too
 }
 
 TEST(TraceCampaign, TracingIsBitIdenticalToUntraced) {

@@ -234,24 +234,57 @@ end module m
   expect_same_run(interp, threaded, "timeout: interp vs threaded");
 }
 
-TEST(VmDispatch, ShadowForcesInterpreter) {
-  // Shadow execution is interpreter-only; asking for a decoded engine with
-  // shadow on silently runs the reference path, with the shadow report
-  // intact and zero fused dispatches.
+TEST(VmDispatch, ShadowResolvesToDecodedEngine) {
+  // Shadow execution runs on the shadow twin of a decoded engine: asking for
+  // the interpreter resolves to the build's decoded default. Whatever engine
+  // runs it, the primary run is bit-identical to a plain interpreter run and
+  // the shadow report is the same.
   const CompiledProgram p = compile_src(kMixedSource);
-  VmOptions vopts;
-  vopts.shadow = true;
-  vopts.dispatch = VmDispatch::kThreaded;
-  Vm vm(&p, vopts);
-  EXPECT_EQ(vm.resolved_dispatch(), VmDispatch::kInterpret);
-  const RunResult r = vm.call("m::go");
-  ASSERT_TRUE(r.status.is_ok()) << r.status.to_string();
-  EXPECT_EQ(r.fused.pairs(), 0u);
-  EXPECT_TRUE(vm.shadow_report().enabled);
-
   const Executed plain = run_with(p, VmDispatch::kInterpret);
-  EXPECT_EQ(r.cycles, plain.run.cycles);
-  EXPECT_EQ(r.instructions, plain.run.instructions);
+  ASSERT_TRUE(plain.run.status.is_ok()) << plain.run.status.to_string();
+
+  std::string first_report;
+  for (const VmDispatch asked : {VmDispatch::kInterpret, VmDispatch::kAuto,
+                                 VmDispatch::kSwitch, VmDispatch::kThreaded}) {
+    VmOptions vopts;
+    vopts.shadow = true;
+    vopts.dispatch = asked;
+    Vm vm(&p, vopts);
+    const VmDispatch engine = vm.resolved_dispatch();
+    EXPECT_NE(engine, VmDispatch::kInterpret);
+    EXPECT_NE(engine, VmDispatch::kAuto);
+    if (asked == VmDispatch::kInterpret || asked == VmDispatch::kAuto) {
+      EXPECT_EQ(engine, Vm::default_dispatch());
+    }
+    Executed shadowed;
+    shadowed.run = vm.call("m::go");
+    shadowed.print_log = vm.print_log();
+    shadowed.now = vm.now();
+    expect_same_run(plain, shadowed, "shadow vs plain interpreter");
+    EXPECT_GT(shadowed.run.fused.pairs(), 0u);
+
+    const sim::ShadowReport report = vm.shadow_report();
+    ASSERT_TRUE(report.enabled);
+    std::ostringstream os;
+    os.precision(17);
+    os << report.max_rel_div << ' ' << report.cancellations << ' '
+       << report.control_divergences << ' ' << report.first_divergence_proc
+       << ' ' << report.first_divergence_instr << ' ' << report.fault_proc;
+    for (const auto& [name, v] : report.vars) {
+      os << '|' << name << ' ' << v.max_rel_div << ' ' << v.writes;
+    }
+    for (const auto& [name, ps] : report.procs) {
+      os << '|' << name << ' ' << ps.introduced_sum << ' ' << ps.introduced_max
+         << ' ' << ps.max_rel_div << ' ' << ps.cancellations << ' '
+         << ps.control_divergences << ' ' << ps.cast_cycles << ' ' << ps.faulted;
+    }
+    if (first_report.empty()) {
+      first_report = os.str();
+      EXPECT_GT(report.max_rel_div, 0.0);  // kMixedSource narrows to real(4)
+    } else {
+      EXPECT_EQ(os.str(), first_report) << "engine " << static_cast<int>(engine);
+    }
+  }
 }
 
 TEST(VmDispatch, ResolutionRules) {
